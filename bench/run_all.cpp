@@ -18,8 +18,7 @@
 // plus the remaining fig_*/lemma_* benches — all sharded-RNG reproducible,
 // so all drift-gated. Each bench's stdout is captured verbatim into the
 // JSON together with its wall-clock time, so later PRs can diff both the
-// numbers and the cost of producing them. (--all is accepted for backward
-// compatibility; the full set runs by default now.)
+// numbers and the cost of producing them.
 //
 // --check turns the driver into a regression gate: it parses the captured
 // tables and fails the run when the detector accuracy drifts off the
@@ -664,7 +663,6 @@ void run_checks(const std::vector<BenchRun>& runs, const std::string& scale,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool all = false;
   bool do_check = false;
   std::string scale = "default";
   std::string bin_dir = dir_of(argv[0]);
@@ -674,9 +672,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--all") {
-      all = true;
-    } else if (a == "--check") {
+    if (a == "--check") {
       do_check = true;
     } else if (a == "--quick") {
       scale = "quick";
@@ -706,7 +702,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--all] [--quick|--full] [--check] "
+                   "usage: %s [--quick|--full] [--check] "
                    "[--baseline <file>] [--bin-dir <dir>] [--out <file>] "
                    "[--only <name,...>] [--wall-scale <x>]\n",
                    argv[0]);
@@ -719,9 +715,6 @@ int main(int argc, char** argv) {
   if (scale == "quick") setenv("ZZ_QUICK", "1", 1);
   if (scale == "full") setenv("ZZ_FULL", "1", 1);
 
-  // The full deterministic set runs (and is baselined) by default; --all
-  // is retained as a no-op for compatibility with older invocations.
-  (void)all;
   std::vector<std::string> names(std::begin(kBaselineBenches),
                                  std::end(kBaselineBenches));
   if (!only.empty()) {

@@ -3,7 +3,8 @@
 # tree, then the bench driver's regression gates against the committed
 # baseline.
 #
-#   ./ci.sh                  # plain: configure + build + ctest + bench gates
+#   ./ci.sh                  # plain: configure + build + ctest + rxbench
+#                            #   compile + bench gates
 #   ./ci.sh --sanitize       # analysis matrix: ASan+UBSan leg, TSan leg,
 #                            #   clang -Wthread-safety + clang-tidy when a
 #                            #   suitable clang is installed (version-guarded)
@@ -188,6 +189,15 @@ fi
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+# --- Receiver benchmark, compile only: rxbench/ calls the library API
+# directly, so an API change that breaks it fails here, not at the next
+# benchmark run. Not run; rxbench/run.py measures it. ---
+if [[ -z "${ZZ_KEEP_BUILD:-}" ]]; then
+  rm -rf build-rxbench
+fi
+cmake -S rxbench -B build-rxbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-rxbench -j "$(nproc)"
 
 # --- Bench gates, at the committed baseline's (default) scale: the driver
 # runs EVERY deterministic paper bench (headline subset + the folded

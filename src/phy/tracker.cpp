@@ -9,31 +9,13 @@
 
 namespace zz::phy {
 
-ChunkDecoder::ChunkDecoder(TrackingGains gains, std::size_t interp_half_width,
-                           bool block_interp)
-    : gains_(gains),
-      hw_(interp_half_width),
-      block_interp_(block_interp),
-      interp_(interp_half_width) {
+ChunkDecoder::ChunkDecoder(TrackingGains gains, std::size_t interp_half_width)
+    : gains_(gains), hw_(interp_half_width), interp_(interp_half_width) {
   // decode() partitions chunks into gains_.block-sized tracking blocks; a
   // zero block size would divide by zero there, and interpolation needs at
   // least one tap on each side of the sample.
   ZZ_CHECK_GT(gains_.block, 0u);
   ZZ_CHECK_GT(hw_, 0u);
-}
-
-cplx ChunkDecoder::raw_symbol(const CVec& buf, std::ptrdiff_t origin, double k,
-                              const LinkEstimate& est) const {
-  const auto& p = est.params;
-  // Packet-relative sample time of symbol k (2 samples/symbol, §5.1c).
-  const double rel = chan::kSps * k * (1.0 + p.drift) + p.mu;
-  const double pos = static_cast<double>(origin) + rel;
-  const cplx raw = interp_.at(buf, pos);
-  const double phi = -kTwoPi * p.freq_offset * rel;
-  const cplx derot = raw * cplx{std::cos(phi), std::sin(phi)};
-  const cplx h = p.h;
-  const double hn = std::norm(h);
-  return hn > 1e-18 ? derot * std::conj(h) / hn : derot;
 }
 
 void ChunkDecoder::raw_block(const CVec& buf, std::ptrdiff_t origin,
@@ -42,16 +24,9 @@ void ChunkDecoder::raw_block(const CVec& buf, std::ptrdiff_t origin,
   ZZ_DCHECK_LE(m0, m1);  // a reversed range would wrap the size below
   const auto n = static_cast<std::size_t>(m1 - m0);
   z.resize(n);
-  if (!block_interp_) {
-    // Per-symbol golden reference route.
-    for (std::ptrdiff_t m = m0; m < m1; ++m)
-      z[static_cast<std::size_t>(m - m0)] =
-          raw_symbol(buf, origin, static_cast<double>(m), est);
-    return;
-  }
-  // Batched route: one block interpolation pass, then the same per-symbol
-  // de-rotation and gain normalization arithmetic as raw_symbol — the two
-  // routes are bit-identical.
+  // Packet-relative sample time of each symbol (2 samples/symbol, §5.1c),
+  // one block interpolation pass, then per-symbol de-rotation and gain
+  // normalization.
   const auto& p = est.params;
   thread_local std::vector<double> rel, pos;
   rel.resize(n);

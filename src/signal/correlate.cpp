@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "zz/common/check.h"
 #include "zz/common/mathutil.h"
@@ -68,18 +67,6 @@ SlidingCorrelator::SlidingCorrelator(CVec reference)
       fft_(pick_fft_size(std::max<std::size_t>(ref_.size(), 1))) {
   for (const cplx& v : ref_) eref_ += std::norm(v);
   valid_ = fft_.size() - ref_.size() + 1;
-}
-
-void SlidingCorrelator::set_reference(CVec reference) {
-  if (reference.size() != ref_.size())
-    throw std::invalid_argument(
-        "SlidingCorrelator::set_reference: length must match the original "
-        "reference (block transforms are sized for it)");
-  ref_ = std::move(reference);
-  eref_ = 0.0;
-  for (const cplx& v : ref_) eref_ += std::norm(v);
-  kernel_ready_ = false;
-  kernel_freq_ = 0.0;
 }
 
 void SlidingCorrelator::prepare(const CVec& stream) {

@@ -1,5 +1,4 @@
-// Sliding correlation — the workhorse of §4.2.1 ("Is It a Collision?") and
-// §4.2.2 ("Did the AP Receive Two Matching Collisions?").
+// Sliding correlation — the workhorse of §4.2.1 ("Is It a Collision?").
 //
 // The AP slides the known preamble across the received stream; the
 // correlation magnitude is near zero everywhere except where the preamble
@@ -58,13 +57,6 @@ class SlidingCorrelator {
   const CVec& reference() const { return ref_; }
   /// Σ|s[k]|² of the reference (the Γ' normalizer of §4.2.4a).
   double reference_energy() const { return eref_; }
-
-  /// Swap in a new reference of the SAME length (throws otherwise),
-  /// keeping the prepared stream transforms. This is what makes n-way
-  /// packet matching cheap: one prepare() of the new reception serves a
-  /// correlate() against every stored packet segment, each costing only a
-  /// kernel FFT instead of a fresh O(N·M) pass.
-  void set_reference(CVec reference);
 
   /// Block-transform `stream` once; subsequent correlate() calls reuse the
   /// transforms until the next prepare().

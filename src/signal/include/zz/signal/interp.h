@@ -32,18 +32,8 @@ class SincInterpolator {
   /// value at t[j], bit-identical to calling at(x, t[j]) per position. The
   /// per-call kernel recurrence setup that at() redoes per sample is
   /// hoisted across the whole run — this is the decoder's per-tracking-
-  /// block fetch path (ChunkDecoder::raw_block supplies the positions,
-  /// which its legacy per-symbol formula defines).
+  /// block fetch path (ChunkDecoder::raw_block supplies the positions).
   void at_batch(const CVec& x, std::span<const double> t, cplx* out) const;
-
-  /// Convenience block evaluation at uniformly spaced positions
-  /// t_j = t0 + j·dt for j in [0, n) — a symbol-rate run expressed by
-  /// (start, step). Note the decoder itself feeds at_batch with positions
-  /// computed by its historical per-symbol expression, whose rounding
-  /// differs from t0 + j·dt at the ulp level; this wrapper is for callers
-  /// without such a legacy contract.
-  void at_uniform(const CVec& x, double t0, double dt, std::size_t n,
-                  cplx* out) const;
 
   /// Resample the whole stream at positions t_n = n + mu + drift*n, i.e. a
   /// constant fractional offset plus a linear clock drift — the sampling

@@ -131,15 +131,6 @@ void SincInterpolator::at_batch(const CVec& x, std::span<const double> t,
   for (std::size_t j = 0; j < t.size(); ++j) out[j] = point(x, t[j], cd, sd);
 }
 
-void SincInterpolator::at_uniform(const CVec& x, double t0, double dt,
-                                  std::size_t n, cplx* out) const {
-  const double dphi = kPi / static_cast<double>(half_width_);
-  const double cd = std::cos(dphi);
-  const double sd = std::sin(dphi);
-  for (std::size_t j = 0; j < n; ++j)
-    out[j] = point(x, t0 + dt * static_cast<double>(j), cd, sd);
-}
-
 CVec SincInterpolator::shift(const CVec& x, double mu,
                              double drift_per_sample) const {
   // A whole-stream resample is one long block evaluation: hoist the

@@ -823,10 +823,6 @@ class Engine {
     fp.f64(g.timing);
     fp.u64(g.enabled ? 1 : 0);
     fp.u64(dec_.interp_half_width());
-    // The interpolation route is part of the decode configuration: the two
-    // routes are bit-identical by contract, but a cache shared between
-    // decoders configured differently must not conflate their entries.
-    fp.u64(dec_.block_interp() ? 1 : 0);
 
     auto& impl = DecodeCacheAccess::impl(*cache_);
     {

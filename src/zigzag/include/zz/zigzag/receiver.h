@@ -146,7 +146,7 @@ class ZigZagReceiver {
   bool fresh(const phy::FrameHeader& h);
 
   ReceiverOptions opt_;
-  PacketMatcher matcher_;  ///< §4.2.2 engine route, reused across receptions
+  PacketMatcher matcher_;  ///< §4.2.2 matcher, reused across receptions
   /// Chunk-decode memo for one reception's widening search (§4.5): as the
   /// joint decode retries with more stored receptions, chunks the extra
   /// equation does not perturb replay from the memo. Cleared per receive()

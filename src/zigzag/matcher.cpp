@@ -3,116 +3,86 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <optional>
 
 namespace zz::zigzag {
+namespace {
+
+constexpr std::size_t kMinSpan = 64;  // not enough overlap to judge below
+
+// Index of start + skip in a buffer of `size` samples, or nullopt when it
+// falls outside [0, size). The range is checked before adding, so a start
+// near either end of ptrdiff_t cannot overflow.
+std::optional<std::size_t> window_start(std::size_t size,
+                                        std::ptrdiff_t start,
+                                        std::size_t skip) {
+  std::size_t at;
+  if (start >= 0) {
+    const auto s = static_cast<std::size_t>(start);
+    if (s >= size || skip >= size - s) return std::nullopt;
+    at = s + skip;
+  } else {
+    // |start|, computed without negating PTRDIFF_MIN.
+    const std::size_t back = static_cast<std::size_t>(-(start + 1)) + 1;
+    if (back > skip) return std::nullopt;
+    at = skip - back;
+    if (at >= size) return std::nullopt;
+  }
+  return at;
+}
+
+// The §4.2.2 score over `span` aligned samples of the two receptions.
+MatchScore correlate(const cplx* a, const cplx* b, std::size_t span,
+                     double threshold) {
+  MatchScore out;
+  if (span < kMinSpan) return out;
+  cplx acc{0.0, 0.0};
+  double e1 = 0.0, e2 = 0.0;
+  for (std::size_t i = 0; i < span; ++i) {
+    acc += a[i] * std::conj(b[i]);
+    e1 += std::norm(a[i]);
+    e2 += std::norm(b[i]);
+  }
+  if (e1 < 1e-12 || e2 < 1e-12) return out;
+  const double score = std::abs(acc) / std::sqrt(e1 * e2);
+  if (!std::isfinite(score)) return out;  // NaN/Inf samples in a window
+  out.score = score;
+  out.matched = score >= threshold;
+  return out;
+}
+
+}  // namespace
 
 MatchScore match_same_packet(const CVec& rx1, std::ptrdiff_t start1,
                              const CVec& rx2, std::ptrdiff_t start2,
                              const MatchConfig& cfg) {
-  MatchScore out;
-  const std::ptrdiff_t s1 = start1 + static_cast<std::ptrdiff_t>(cfg.skip);
-  const std::ptrdiff_t s2 = start2 + static_cast<std::ptrdiff_t>(cfg.skip);
-  if (s1 < 0 || s2 < 0) return out;
-
-  const std::size_t n1 = rx1.size() > static_cast<std::size_t>(s1)
-                             ? rx1.size() - static_cast<std::size_t>(s1)
-                             : 0;
-  const std::size_t n2 = rx2.size() > static_cast<std::size_t>(s2)
-                             ? rx2.size() - static_cast<std::size_t>(s2)
-                             : 0;
-  const std::size_t span = std::min(cfg.span, std::min(n1, n2));
-  if (span < 64) return out;  // not enough overlap to judge
-
-  cplx acc{0.0, 0.0};
-  double e1 = 0.0, e2 = 0.0;
-  for (std::size_t i = 0; i < span; ++i) {
-    const cplx a = rx1[static_cast<std::size_t>(s1) + i];
-    const cplx b = rx2[static_cast<std::size_t>(s2) + i];
-    acc += a * std::conj(b);
-    e1 += std::norm(a);
-    e2 += std::norm(b);
-  }
-  if (e1 < 1e-12 || e2 < 1e-12) return out;
-  out.score = std::abs(acc) / std::sqrt(e1 * e2);
-  out.matched = out.score >= cfg.threshold;
-  return out;
+  const auto s1 = window_start(rx1.size(), start1, cfg.skip);
+  const auto s2 = window_start(rx2.size(), start2, cfg.skip);
+  if (!s1 || !s2) return {};
+  const std::size_t span =
+      std::min({cfg.span, rx1.size() - *s1, rx2.size() - *s2});
+  return correlate(rx1.data() + *s1, rx2.data() + *s2, span, cfg.threshold);
 }
 
 PacketMatcher::PacketMatcher(MatchConfig cfg) : cfg_(cfg) {}
 
 bool PacketMatcher::prepare(const CVec& rx2, std::ptrdiff_t start2) {
-  prepared_ = false;
-  const std::ptrdiff_t s2 = start2 + static_cast<std::ptrdiff_t>(cfg_.skip);
-  if (s2 < 0 || static_cast<std::size_t>(s2) >= rx2.size()) return false;
-  const std::size_t avail2 = rx2.size() - static_cast<std::size_t>(s2);
-  span_ = std::min(cfg_.span, avail2);
-  if (span_ < 64) return false;  // match_same_packet's minimum-overlap rule
-
-  const auto slack = static_cast<std::ptrdiff_t>(cfg_.slack);
-  const std::ptrdiff_t w0 = std::max<std::ptrdiff_t>(0, s2 - slack);
-  const std::ptrdiff_t w1 =
-      std::min(static_cast<std::ptrdiff_t>(rx2.size()),
-               s2 + static_cast<std::ptrdiff_t>(span_) + slack);
-  stream_.assign(rx2.begin() + w0, rx2.begin() + w1);
-  base_ = s2 - w0;
-  if (stream_.size() < span_) return false;
-
-  if (!corr_ || corr_->reference().size() != span_)
-    corr_.emplace(CVec(span_, cplx{0.0, 0.0}));
-  corr_->prepare(stream_);
-
-  energy_.assign(stream_.size() + 1, 0.0);
-  for (std::size_t i = 0; i < stream_.size(); ++i)
-    energy_[i + 1] = energy_[i] + std::norm(stream_[i]);
-  prepared_ = true;
+  window_.clear();
+  const auto s2 = window_start(rx2.size(), start2, cfg_.skip);
+  if (!s2) return false;
+  const std::size_t span = std::min(cfg_.span, rx2.size() - *s2);
+  if (span < kMinSpan) return false;
+  const auto first = rx2.begin() + static_cast<std::ptrdiff_t>(*s2);
+  window_.assign(first, first + static_cast<std::ptrdiff_t>(span));
   return true;
 }
 
-MatchScore PacketMatcher::score(const CVec& rx1, std::ptrdiff_t start1) {
-  MatchScore out;
-  if (!prepared_) return out;
-  const std::ptrdiff_t s1 = start1 + static_cast<std::ptrdiff_t>(cfg_.skip);
-  if (s1 < 0 || static_cast<std::size_t>(s1) >= rx1.size()) return out;
-  const std::size_t n1 = rx1.size() - static_cast<std::size_t>(s1);
-  const std::size_t len = std::min(span_, n1);
-  if (len < 64) return out;
-
-  // Zero-padded reference: missing tail samples contribute nothing to Γ,
-  // exactly like the reference loop's truncation to min(n1, n2).
-  ref_.assign(span_, cplx{0.0, 0.0});
-  double e1 = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    ref_[i] = rx1[static_cast<std::size_t>(s1) + i];
-    e1 += std::norm(ref_[i]);
-  }
-  if (e1 < 1e-12) return out;
-
-  corr_->set_reference(ref_);
-  corr_->correlate(0.0, gamma_);
-
-  double best = -1.0;
-  std::ptrdiff_t best_d = -1;
-  for (std::size_t d = 0; d < gamma_.size(); ++d) {
-    if (d + len > stream_.size()) break;
-    const double e2 = energy_[d + len] - energy_[d];
-    if (e2 < 1e-12) continue;
-    const double s = std::abs(gamma_[d]) / std::sqrt(e1 * e2);
-    if (s > best) {
-      best = s;
-      best_d = static_cast<std::ptrdiff_t>(d);
-    }
-  }
-  if (best_d < 0) return out;
-  out.score = best;
-  out.matched = best >= cfg_.threshold;
-  out.lag = best_d - base_;
-  return out;
-}
-
-MatchScore PacketMatcher::match(const CVec& rx1, std::ptrdiff_t start1,
-                                const CVec& rx2, std::ptrdiff_t start2) {
-  if (!prepare(rx2, start2)) return {};
-  return score(rx1, start1);
+MatchScore PacketMatcher::score(const CVec& rx1, std::ptrdiff_t start1) const {
+  if (window_.empty()) return {};
+  const auto s1 = window_start(rx1.size(), start1, cfg_.skip);
+  if (!s1) return {};
+  const std::size_t span = std::min(window_.size(), rx1.size() - *s1);
+  return correlate(rx1.data() + *s1, window_.data(), span, cfg_.threshold);
 }
 
 }  // namespace zz::zigzag

@@ -115,7 +115,7 @@ std::vector<Delivered> ZigZagReceiver::try_joint(
       double best = 0.0;
       int best_i = -1;
       // One prepare() of this detection's comparison window serves every
-      // registry candidate (§4.2.2 through the SlidingCorrelator engine).
+      // registry candidate (§4.2.2).
       const bool window_ok = matcher_.prepare(samples, ds[j].origin);
       for (std::size_t i = 0; window_ok && i < registry.size(); ++i) {
         if (used[i]) continue;

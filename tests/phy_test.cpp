@@ -288,65 +288,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RxCase{12.0, 1500, Modulation::BPSK}));
 
 // ---------------------------------------------------------------------------
-// Chunk decoder: block interpolation engine + tracking edge cases.
+// Chunk decoder: tracking edge cases.
 // ---------------------------------------------------------------------------
-
-TEST(ChunkDecoder, BatchedRouteBitIdenticalToPerSymbol) {
-  // The batched per-tracking-block fetch (SincInterpolator::at_batch) must
-  // reproduce the per-symbol raw_symbol route bit-for-bit — same decode,
-  // same tracked link state — across random channels and seeds.
-  for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
-    Rng rng(seed);
-    FrameHeader h;
-    h.sender_id = 3;
-    h.seq = static_cast<std::uint16_t>(seed);
-    h.payload_bytes = 120;
-    const TxFrame f = build_frame(h, rng.bytes(120));
-
-    chan::ImpairmentConfig icfg;
-    icfg.snr_db = 12.0;
-    icfg.freq_offset_max = 2e-3;
-    const auto cp = chan::random_channel(rng, icfg);
-    const CVec rx = chan::clean_reception(rng, f.symbols, cp);
-    const auto pe = estimate_at_peak(rx, 64, cp.freq_offset);
-
-    const auto make_est = [&] {
-      LinkEstimate est;
-      est.params.h = pe.h;
-      est.params.freq_offset = cp.freq_offset;
-      est.params.mu = pe.mu;
-      est.params.isi = cp.isi;
-      est.equalizer = cp.isi.inverse(7, 3);  // non-trivial guard margin
-      est.noise_var = estimate_noise_floor(rx);
-      return est;
-    };
-
-    const std::size_t total = layout_for(h).total_syms;
-    std::vector<SymbolSpec> specs(total);
-    const CVec& pre = preamble(kPreambleLength);
-    for (std::size_t k = 0; k < total; ++k) {
-      specs[k].mod = Modulation::BPSK;
-      if (k < pre.size()) specs[k].pilot = pre[k];
-    }
-
-    const ChunkDecoder batched({}, 8, /*block_interp=*/true);
-    const ChunkDecoder persym({}, 8, /*block_interp=*/false);
-    LinkEstimate ea = make_est(), eb = make_est();
-    const auto ra = batched.decode(rx, pe.origin, 0, total, specs, ea);
-    const auto rb = persym.decode(rx, pe.origin, 0, total, specs, eb);
-
-    ASSERT_EQ(ra.soft.size(), rb.soft.size());
-    for (std::size_t k = 0; k < ra.soft.size(); ++k) {
-      EXPECT_EQ(ra.soft[k], rb.soft[k]) << "seed=" << seed << " k=" << k;
-      EXPECT_EQ(ra.decided[k], rb.decided[k]) << "seed=" << seed << " k=" << k;
-    }
-    EXPECT_EQ(ra.noise_var, rb.noise_var);
-    EXPECT_EQ(ea.params.h, eb.params.h);
-    EXPECT_EQ(ea.params.freq_offset, eb.params.freq_offset);
-    EXPECT_EQ(ea.params.mu, eb.params.mu);
-    EXPECT_EQ(ea.noise_var, eb.noise_var);
-  }
-}
 
 TEST(ChunkDecoder, ShortBlockUpdatesTiming) {
   // A <=2-symbol block (short tail chunk) used to skip the timing-error

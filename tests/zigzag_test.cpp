@@ -4,7 +4,9 @@
 // receiver pipeline of §5.1(d).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
 #include "zz/common/thread_pool.h"
+#include "zz/signal/correlate.h"
 #include "zz/signal/scratch.h"
 #include "zz/emu/collision.h"
 #include "zz/phy/receiver.h"
@@ -385,57 +388,144 @@ TEST(Matcher, DifferentPacketsDoNotMatch) {
   EXPECT_FALSE(score.matched);
 }
 
-// The SlidingCorrelator route must reproduce the naive single-alignment
-// reference bit-for-bit in score and verdict (golden equivalence, 1e-9).
+// The prepared route must reproduce match_same_packet exactly, and both
+// must equal the §4.2.2 score computed independently through
+// sig::correlation_at: |<seg1, seg2>| / sqrt(E1·E2).
 TEST(Matcher, EngineRouteMatchesNaiveGolden) {
   Rng rng(26);
-  PacketMatcher engine;
+  const MatchConfig cfg;
+  PacketMatcher engine(cfg);
   std::size_t compared = 0;
   for (int trial = 0; trial < 3; ++trial) {
     auto s = make_pair_scenario(rng, 300, 10.0, 150, 400);
+    const CVec& rx1 = s.c1.samples;
+    const CVec& rx2 = s.c2.samples;
     // Same-packet, cross-packet and noise-start hypotheses, plus starts
     // near the buffer tail where the compared span truncates.
     const std::ptrdiff_t starts1[] = {
         s.c1.truth[0].start, s.c1.truth[1].start,
-        static_cast<std::ptrdiff_t>(s.c1.samples.size()) - 300};
+        static_cast<std::ptrdiff_t>(rx1.size()) - 300};
     const std::ptrdiff_t starts2[] = {
         s.c2.truth[0].start, s.c2.truth[1].start, 3,
-        static_cast<std::ptrdiff_t>(s.c2.samples.size()) - 280};
-    for (const auto st1 : starts1)
-      for (const auto st2 : starts2) {
-        const auto naive =
-            match_same_packet(s.c1.samples, st1, s.c2.samples, st2);
-        const auto fast =
-            engine.match(s.c1.samples, st1, s.c2.samples, st2);
-        EXPECT_NEAR(fast.score, naive.score, 1e-9)
-            << "st1=" << st1 << " st2=" << st2;
+        static_cast<std::ptrdiff_t>(rx2.size()) - 280};
+    for (const auto st2 : starts2) {
+      ASSERT_TRUE(engine.prepare(rx2, st2)) << "st2=" << st2;
+      for (const auto st1 : starts1) {
+        const auto naive = match_same_packet(rx1, st1, rx2, st2, cfg);
+        const auto fast = engine.score(rx1, st1);
+        EXPECT_EQ(fast.score, naive.score) << "st1=" << st1 << " st2=" << st2;
         EXPECT_EQ(fast.matched, naive.matched)
             << "st1=" << st1 << " st2=" << st2;
-        EXPECT_EQ(fast.lag, 0);
+
+        const auto s1 = static_cast<std::size_t>(st1) + cfg.skip;
+        const auto s2 = static_cast<std::size_t>(st2) + cfg.skip;
+        const std::size_t len =
+            std::min({cfg.span, rx1.size() - s1, rx2.size() - s2});
+        const CVec seg1(rx1.begin() + static_cast<std::ptrdiff_t>(s1),
+                        rx1.begin() + static_cast<std::ptrdiff_t>(s1 + len));
+        double e1 = 0.0, e2 = 0.0;
+        for (std::size_t i = 0; i < len; ++i) {
+          e1 += std::norm(seg1[i]);
+          e2 += std::norm(rx2[s2 + i]);
+        }
+        const double ref =
+            std::abs(sig::correlation_at(seg1, rx2, s2)) / std::sqrt(e1 * e2);
+        EXPECT_NEAR(naive.score, ref, 1e-12)
+            << "st1=" << st1 << " st2=" << st2;
+        EXPECT_EQ(naive.matched, ref >= cfg.threshold)
+            << "st1=" << st1 << " st2=" << st2;
         ++compared;
       }
+    }
   }
   EXPECT_EQ(compared, 36u);
 }
 
-// One prepare() serves many candidates, and a non-zero slack recovers a
-// misaligned start hypothesis (origin jitter between receptions).
-TEST(Matcher, SlackRecoversMisalignedStart) {
+// One prepare() serves many candidates: each score equals the pairwise
+// match, and only the same packet matches.
+TEST(Matcher, OnePrepareServesManyCandidates) {
   Rng rng(27);
   auto s = make_pair_scenario(rng, 300, 20.0, 150, 400);
-  MatchConfig cfg;
-  cfg.slack = 8;
-  PacketMatcher engine(cfg);
-  // Hypothesize Bob's start in c2 five samples early: the true alignment
-  // sits at lag +5 inside the slack window.
-  ASSERT_TRUE(engine.prepare(s.c2.samples, s.c2.truth[1].start - 5));
-  const auto score = engine.score(s.c1.samples, s.c1.truth[1].start);
-  EXPECT_TRUE(score.matched);
-  EXPECT_EQ(score.lag, 5);
-  // And the aligned exact score is at least the zero-slack one.
-  const auto exact = match_same_packet(s.c1.samples, s.c1.truth[1].start,
-                                       s.c2.samples, s.c2.truth[1].start);
-  EXPECT_GE(score.score, exact.score - 1e-9);
+  PacketMatcher engine;
+  ASSERT_TRUE(engine.prepare(s.c2.samples, s.c2.truth[1].start));
+  for (int p = 0; p < 2; ++p) {
+    const auto score = engine.score(s.c1.samples, s.c1.truth[p].start);
+    const auto pair = match_same_packet(s.c1.samples, s.c1.truth[p].start,
+                                        s.c2.samples, s.c2.truth[1].start);
+    EXPECT_EQ(score.score, pair.score) << "p=" << p;
+    EXPECT_EQ(score.matched, p == 1) << "p=" << p;
+  }
+}
+
+// A failed prepare() drops the previous window: score() must not answer
+// against a stale reception.
+TEST(Matcher, FailedPrepareClearsWindow) {
+  Rng rng(28);
+  auto s = make_pair_scenario(rng, 300, 20.0, 150, 400);
+  PacketMatcher engine;
+  ASSERT_TRUE(engine.prepare(s.c2.samples, s.c2.truth[1].start));
+  EXPECT_TRUE(engine.score(s.c1.samples, s.c1.truth[1].start).matched);
+  EXPECT_FALSE(engine.prepare(s.c2.samples,
+                              static_cast<std::ptrdiff_t>(s.c2.samples.size())));
+  const auto stale = engine.score(s.c1.samples, s.c1.truth[1].start);
+  EXPECT_FALSE(stale.matched);
+  EXPECT_EQ(stale.score, 0.0);
+}
+
+// Hostile inputs into both entry points: absurd starts at either end of
+// ptrdiff_t, empty buffers, windows under the 64-sample minimum, and
+// all-NaN / all-Inf samples give no match with a zero score, and never
+// overflow.
+TEST(Matcher, HostileInputsNeverMatch) {
+  const MatchConfig cfg;
+  Rng rng(29);
+  CVec good(2048);
+  for (auto& v : good) v = cplx{rng.gaussian(), rng.gaussian()};
+  ASSERT_TRUE(match_same_packet(good, 0, good, 0, cfg).matched);
+
+  constexpr std::ptrdiff_t kMin = std::numeric_limits<std::ptrdiff_t>::min();
+  constexpr std::ptrdiff_t kMax = std::numeric_limits<std::ptrdiff_t>::max();
+  const CVec empty;
+  const CVec short_win(cfg.skip + 63, cplx{1.0, 0.0});
+  const CVec nan(2048, cplx{std::numeric_limits<double>::quiet_NaN(), 0.0});
+  const double inf = std::numeric_limits<double>::infinity();
+  const CVec infs(2048, cplx{inf, -inf});
+
+  struct Side {
+    const CVec* rx;
+    std::ptrdiff_t start;
+  };
+  const std::vector<Side> hostile = {
+      {&good, kMin},     {&good, kMin + 1},  {&good, kMax},
+      {&good, kMax - 1}, {&good, -static_cast<std::ptrdiff_t>(cfg.skip) - 1},
+      {&empty, 0},       {&empty, kMax},     {&short_win, 0},
+      {&nan, 0},         {&infs, 0}};
+  const Side fine{&good, 0};
+
+  std::size_t cases = 0;
+  auto expect_no_match = [&](const Side& a, const Side& b) {
+    const auto pair = match_same_packet(*a.rx, a.start, *b.rx, b.start, cfg);
+    EXPECT_FALSE(pair.matched) << "case " << cases;
+    EXPECT_EQ(pair.score, 0.0) << "case " << cases;
+    PacketMatcher engine(cfg);
+    engine.prepare(*b.rx, b.start);
+    const auto prepared = engine.score(*a.rx, a.start);
+    EXPECT_FALSE(prepared.matched) << "case " << cases;
+    EXPECT_EQ(prepared.score, 0.0) << "case " << cases;
+    ++cases;
+  };
+  for (const Side& h : hostile) {
+    expect_no_match(h, fine);
+    expect_no_match(fine, h);
+    expect_no_match(h, h);
+  }
+  EXPECT_EQ(cases, 3 * hostile.size());
+
+  // score() before any prepare().
+  const PacketMatcher fresh(cfg);
+  const auto unprepared = fresh.score(good, 0);
+  EXPECT_FALSE(unprepared.matched);
+  EXPECT_EQ(unprepared.score, 0.0);
 }
 
 // ---------------------------------------------------------------------------
