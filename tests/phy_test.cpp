@@ -2,6 +2,7 @@
 // transmitter and the standard (black-box) receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "zz/chan/channel.h"
@@ -290,6 +291,84 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Chunk decoder: tracking edge cases.
 // ---------------------------------------------------------------------------
+
+TEST(ChunkDecoder, BatchedRouteBitIdenticalToPerSymbol) {
+  // The decoder fetches each tracking block's raw symbols in one
+  // SincInterpolator::at_batch pass. With tracking off (so the estimate
+  // stays fixed across blocks) its decode must reproduce, bit-for-bit, a
+  // per-symbol reference built here: interpolate each symbol on its own,
+  // de-rotate, gain-normalize, equalize, slice — across random channels
+  // and seeds.
+  for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
+    Rng rng(seed);
+    FrameHeader h;
+    h.sender_id = 3;
+    h.seq = static_cast<std::uint16_t>(seed);
+    h.payload_bytes = 120;
+    const TxFrame f = build_frame(h, rng.bytes(120));
+
+    chan::ImpairmentConfig icfg;
+    icfg.snr_db = 12.0;
+    icfg.freq_offset_max = 2e-3;
+    const auto cp = chan::random_channel(rng, icfg);
+    const CVec rx = chan::clean_reception(rng, f.symbols, cp);
+    const auto pe = estimate_at_peak(rx, 64, cp.freq_offset);
+
+    LinkEstimate est;
+    est.params.h = pe.h;
+    est.params.freq_offset = cp.freq_offset;
+    est.params.mu = pe.mu;
+    est.params.isi = cp.isi;
+    est.equalizer = cp.isi.inverse(7, 3);  // non-trivial guard margin
+    est.noise_var = estimate_noise_floor(rx);
+    const chan::ChannelParams before = est.params;
+
+    const std::size_t total = layout_for(h).total_syms;
+    std::vector<SymbolSpec> specs(total);
+    const CVec& pre = preamble(kPreambleLength);
+    for (std::size_t k = 0; k < total; ++k) {
+      specs[k].mod = Modulation::BPSK;
+      if (k < pre.size()) specs[k].pilot = pre[k];
+    }
+
+    TrackingGains gains;
+    gains.enabled = false;
+    const ChunkDecoder dec(gains, 8);
+    const auto r = dec.decode(rx, pe.origin, 0, total, specs, est);
+
+    // Per-symbol reference over the packet plus the equalizer's margin.
+    const sig::SincInterpolator interp(8);
+    const auto guard = static_cast<std::ptrdiff_t>(
+        std::max(est.equalizer.pre(), est.equalizer.post()));
+    const auto& p = before;
+    const double hn = std::norm(p.h);
+    CVec raw;
+    for (std::ptrdiff_t m = -guard;
+         m < static_cast<std::ptrdiff_t>(total) + guard; ++m) {
+      const double rel =
+          chan::kSps * static_cast<double>(m) * (1.0 + p.drift) + p.mu;
+      const cplx s =
+          interp.at(rx, static_cast<double>(pe.origin) + rel);
+      const double phi = -kTwoPi * p.freq_offset * rel;
+      const cplx derot = s * cplx{std::cos(phi), std::sin(phi)};
+      raw.push_back(hn > 1e-18 ? derot * std::conj(p.h) / hn : derot);
+    }
+    const Modulator bpsk(Modulation::BPSK);
+
+    ASSERT_EQ(r.soft.size(), total);
+    for (std::size_t k = 0; k < total; ++k) {
+      const cplx soft =
+          est.equalizer.at(raw, static_cast<std::ptrdiff_t>(k) + guard);
+      const cplx decided =
+          specs[k].pilot ? *specs[k].pilot : bpsk.nearest_point(soft);
+      EXPECT_EQ(r.soft[k], soft) << "seed=" << seed << " k=" << k;
+      EXPECT_EQ(r.decided[k], decided) << "seed=" << seed << " k=" << k;
+    }
+    EXPECT_EQ(est.params.h, before.h);
+    EXPECT_EQ(est.params.freq_offset, before.freq_offset);
+    EXPECT_EQ(est.params.mu, before.mu);
+  }
+}
 
 TEST(ChunkDecoder, ShortBlockUpdatesTiming) {
   // A <=2-symbol block (short tail chunk) used to skip the timing-error
