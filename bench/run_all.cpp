@@ -503,7 +503,7 @@ void check_wall_time(const BenchRun& r, bool quick, bool full) {
     // Folded fig_*/lemma_* benches (measured 0.01-9.1 s single-core).
     // Quick runs quarter the samples, so their budgets scale to 0.4x with
     // the same 2 s machine-noise floor.
-    if (r.name == "fig_4_7_greedy_failure") budget_ms = 25000.0;
+    if (r.name == "fig_4_7_greedy_failure") budget_ms = 7000.0;
     if (r.name == "fig_5_4_capture") budget_ms = 20000.0;
     if (r.name == "fig_5_8_hidden_loss") budget_ms = 20000.0;
     if (r.name == "fig_5_5_throughput_cdf") budget_ms = 5000.0;

@@ -4,7 +4,8 @@
 # baseline.
 #
 #   ./ci.sh                  # plain: configure + build + ctest + rxbench
-#                            #   compile + bench gates
+#                            #   compile + offset_mc schedule oracle +
+#                            #   bench gates
 #   ./ci.sh --sanitize       # analysis matrix: ASan+UBSan leg, TSan leg,
 #                            #   clang -Wthread-safety + clang-tidy when a
 #                            #   suitable clang is installed (version-guarded)
@@ -190,14 +191,17 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
-# --- Receiver benchmark, compile only: rxbench/ calls the library API
-# directly, so an API change that breaks it fails here, not at the next
-# benchmark run. Not run; rxbench/run.py measures it. ---
+# --- Receiver benchmark: rxbench/ calls the library API directly, so an
+# API change that breaks it fails here, not at the next benchmark run. ---
 if [[ -z "${ZZ_KEEP_BUILD:-}" ]]; then
   rm -rf build-rxbench
 fi
 cmake -S rxbench -B build-rxbench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-rxbench -j "$(nproc)"
+# One short offset_mc run: it replays every §4.5 schedule it produces
+# through the workload's own independent checker and exits non-zero on a
+# wrong one. Throughput is measured by rxbench/run.py, not here.
+./build-rxbench/rxbench --workload offset_mc --seed 1 --seconds 1 --trace 0
 
 # --- Bench gates, at the committed baseline's (default) scale: the driver
 # runs EVERY deterministic paper bench (headline subset + the folded

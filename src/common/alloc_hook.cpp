@@ -23,10 +23,20 @@ namespace {
 // thread, no destructor ordering hazards at thread exit.
 thread_local AllocCounts tls_counts;
 
-// Constant-initialized (constexpr ctor), so allocations from other TUs'
-// dynamic initializers are counted correctly — no init-order hazard.
-Atomic<std::int64_t> g_live{0};
-Atomic<std::int64_t> g_peak{0};
+// The heap gauges. Under ZZ_MODEL_CHECK zz::Atomic has a destructor, which
+// would give namespace-scope gauges a dynamic initializer (allocations from
+// other TUs' static init could run first) and a destructor (an atexit
+// operator delete could run after it). Built on first use in storage that
+// is never destroyed, they have neither hazard in any build.
+struct Gauges {
+  Atomic<std::int64_t> live{0};
+  Atomic<std::int64_t> peak{0};
+};
+Gauges& gauges() {
+  alignas(Gauges) static unsigned char storage[sizeof(Gauges)];
+  static Gauges* const g = new (storage) Gauges;
+  return *g;
+}
 
 std::size_t usable(void* p, std::size_t requested) {
 #if defined(__GLIBC__)
@@ -42,20 +52,21 @@ void note_alloc(void* p, std::size_t requested) {
   const std::size_t n = usable(p, requested);
   ++tls_counts.allocs;
   tls_counts.alloc_bytes += n;
+  Gauges& g = gauges();
   const std::int64_t live =
-      g_live.fetch_add(static_cast<std::int64_t>(n),
+      g.live.fetch_add(static_cast<std::int64_t>(n),
                        std::memory_order_relaxed) +
       static_cast<std::int64_t>(n);
   // Relaxed is enough for a gauge: the RMW loop inside fetch_max never
   // loses a larger concurrent maximum (pinned by the peak model suite).
-  fetch_max(g_peak, live, std::memory_order_relaxed);
+  fetch_max(g.peak, live, std::memory_order_relaxed);
 }
 
 void note_free(void* p) {
   if (!p) return;
   ++tls_counts.frees;
-  g_live.fetch_sub(static_cast<std::int64_t>(usable(p, 0)),
-                   std::memory_order_relaxed);
+  gauges().live.fetch_sub(static_cast<std::int64_t>(usable(p, 0)),
+                          std::memory_order_relaxed);
 }
 
 void* checked_alloc(std::size_t size) {
@@ -80,8 +91,12 @@ void* checked_alloc_aligned(std::size_t size, std::size_t align) {
 
 AllocCounts thread_alloc_counts() { return tls_counts; }
 
-std::int64_t live_heap_bytes() { return g_live.load(std::memory_order_relaxed); }
-std::int64_t peak_heap_bytes() { return g_peak.load(std::memory_order_relaxed); }
+std::int64_t live_heap_bytes() {
+  return gauges().live.load(std::memory_order_relaxed);
+}
+std::int64_t peak_heap_bytes() {
+  return gauges().peak.load(std::memory_order_relaxed);
+}
 
 }  // namespace zz
 

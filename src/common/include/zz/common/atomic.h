@@ -9,7 +9,7 @@
 // inside a zz::model exploration routes through the interleaving explorer
 // (zz/common/model/explorer.h) — a scheduling yield point plus simulated
 // relaxed/acquire/release visibility. Objects constructed outside an
-// exploration (globals like the alloc-hook gauges, pool state in ordinary
+// exploration (statics like the alloc-hook gauges, pool state in ordinary
 // tests) fall through to the embedded std::atomic even in model builds, so
 // a ZZ_MODEL_CHECK tree still runs the full ordinary test suite.
 #pragma once

@@ -85,7 +85,7 @@ namespace detail {
 bool exploring() noexcept;
 
 /// True when `loc` was registered with the live exploration (constructed
-/// inside it). Unregistered atomics — globals like the alloc-hook gauges —
+/// inside it). Unregistered atomics — statics like the alloc-hook gauges —
 /// fall through to their real std::atomic even during exploration.
 bool registered(const void* loc) noexcept;
 
