@@ -5,7 +5,7 @@
 #
 #   ./ci.sh                  # plain: configure + build + ctest + rxbench
 #                            #   compile + offset_mc schedule oracle +
-#                            #   bench gates
+#                            #   stream_n3 truth check + bench gates
 #   ./ci.sh --sanitize       # analysis matrix: ASan+UBSan leg, TSan leg,
 #                            #   clang -Wthread-safety + clang-tidy when a
 #                            #   suitable clang is installed (version-guarded)
@@ -202,6 +202,10 @@ cmake --build build-rxbench -j "$(nproc)"
 # through the workload's own independent checker and exits non-zero on a
 # wrong one. Throughput is measured by rxbench/run.py, not here.
 ./build-rxbench/rxbench --workload offset_mc --seed 1 --seconds 1 --trace 0
+# One short stream_n3 run: it exits non-zero when a crc_ok packet differs
+# from the transmitted truth or a rerun of the same stream is not
+# deterministic — the streaming route's end-to-end correctness check.
+./build-rxbench/rxbench --workload stream_n3 --seed 1 --seconds 1 --trace 0
 
 # --- Bench gates, at the committed baseline's (default) scale: the driver
 # runs EVERY deterministic paper bench (headline subset + the folded

@@ -28,6 +28,12 @@ void ChunkDecoder::raw_block(const CVec& buf, std::ptrdiff_t origin,
   // one block interpolation pass, then per-symbol de-rotation and gain
   // normalization.
   const auto& p = est.params;
+  // A timing estimate driven non-finite by hostile samples reaches no
+  // sample; it must not reach the interpolator's index cast either.
+  if (!std::isfinite(p.mu) || !std::isfinite(p.drift)) {
+    std::fill(z.begin(), z.end(), cplx{0.0, 0.0});
+    return;
+  }
   thread_local std::vector<double> rel, pos;
   rel.resize(n);
   pos.resize(n);
@@ -165,14 +171,6 @@ ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
       }
       const double timing_err = terr_den > 1e-9 ? -terr_num / terr_den : 0.0;
 
-#ifdef ZZ_TRACKER_DEBUG
-      std::fprintf(stderr,
-                   "blk %zu k0=%zu e_phi=%+.3f amp=%.3f e_t=%+.3f f=%+.5f "
-                   "mu=%+.3f argh=%+.3f\n",
-                   b, bk0, phase_err, amp_ratio, timing_err,
-                   est.params.freq_offset, est.params.mu,
-                   std::arg(est.params.h));
-#endif
       // Apply the corrections.
       auto& p = est.params;
       const double dphi = gains_.phase * phase_err;

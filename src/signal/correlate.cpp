@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "zz/common/check.h"
 #include "zz/common/mathutil.h"
 
 namespace zz::sig {
@@ -72,7 +71,6 @@ SlidingCorrelator::SlidingCorrelator(CVec reference)
 void SlidingCorrelator::prepare(const CVec& stream) {
   kernel_ready_ = false;  // hypotheses must re-pair with the new stream
   kernel_freq_ = 0.0;
-  streaming_ = false;  // batch preparation supersedes any appended stream
   positions_ = stream.size() >= ref_.size() && !ref_.empty()
                    ? stream.size() - ref_.size() + 1
                    : 0;
@@ -143,88 +141,6 @@ CVec SlidingCorrelator::correlate(const CVec& stream, double freq_offset_cps) {
   CVec out;
   correlate(freq_offset_cps, out);
   return out;
-}
-
-void SlidingCorrelator::begin_stream() {
-  streaming_ = true;
-  stream_len_ = 0;
-  nfinal_ = 0;
-  tail_.clear();
-  // Batch state is superseded; a stale prepare() must not answer queries.
-  positions_ = 0;
-  nblocks_ = 0;
-}
-
-void SlidingCorrelator::extend(const cplx* data, std::size_t count) {
-  ZZ_CHECK(streaming_) << " — call begin_stream() before extend()";
-  tail_.insert(tail_.end(), data, data + count);
-  stream_len_ += count;
-  const std::size_t n = fft_.size();
-  // Finalize every block whose full n-sample input segment now exists.
-  // Block b covers stream[b·valid_, b·valid_ + n); tail_ holds
-  // stream[nfinal_·valid_, stream_len_), so a finalization consumes the
-  // first n tail samples and then slides the tail by valid_.
-  while (tail_.size() >= n) {
-    if (sblocks_.size() <= nfinal_) sblocks_.emplace_back();
-    CVec& blk = sblocks_[nfinal_];
-    blk.assign(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(n));
-    fft_.forward(blk.data());
-    ++nfinal_;
-    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(valid_));
-  }
-}
-
-std::size_t SlidingCorrelator::stream_positions() const {
-  return stream_len_ >= ref_.size() && !ref_.empty()
-             ? stream_len_ - ref_.size() + 1
-             : 0;
-}
-
-std::size_t SlidingCorrelator::final_positions() const {
-  return std::min(nfinal_ * valid_, stream_positions());
-}
-
-void SlidingCorrelator::correlate_range(double freq_offset_cps,
-                                        std::size_t from, std::size_t to,
-                                        CVec& out) {
-  ZZ_CHECK(streaming_) << " — call begin_stream()/extend() first";
-  ZZ_CHECK_LE(from, to);
-  ZZ_CHECK_LE(to, stream_positions());
-  out.assign(to - from, cplx{0.0, 0.0});
-  if (from == to) return;
-  ensure_kernel(freq_offset_cps);
-  const std::size_t n = fft_.size();
-  const std::size_t m = ref_.size();
-  work_.resize(n);
-  const std::size_t b0 = from / valid_;
-  const std::size_t b1 = (to - 1) / valid_;
-  for (std::size_t b = b0; b <= b1; ++b) {
-    const cplx* blk;
-    if (b < nfinal_) {
-      blk = sblocks_[b].data();
-    } else {
-      // Partial tail block: zero-padded and transformed per query — the
-      // same segment content a batch prepare() of the current stream would
-      // build, so results match the contiguous route bit for bit.
-      const std::size_t s0 = b * valid_;
-      const std::size_t t0 = s0 - nfinal_ * valid_;
-      const std::size_t copy = std::min(n, stream_len_ - s0);
-      tailblk_.assign(n, cplx{0.0, 0.0});
-      std::copy(tail_.begin() + static_cast<std::ptrdiff_t>(t0),
-                tail_.begin() + static_cast<std::ptrdiff_t>(t0 + copy),
-                tailblk_.begin());
-      fft_.forward(tailblk_.data());
-      blk = tailblk_.data();
-    }
-    for (std::size_t i = 0; i < n; ++i) work_[i] = blk[i] * kernel_[i];
-    fft_.inverse(work_.data());
-    const std::size_t d0 = b * valid_;
-    const std::size_t lo = std::max(from, d0);
-    const std::size_t hi = std::min(to, d0 + valid_);
-    // Valid (non-circular) convolution outputs sit at [m-1, n).
-    for (std::size_t d = lo; d < hi; ++d)
-      out[d - from] = work_[m - 1 + (d - d0)];
-  }
 }
 
 std::vector<double> windowed_energy(const CVec& stream, std::size_t window) {

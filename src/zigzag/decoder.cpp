@@ -411,9 +411,14 @@ class Engine {
            l.initial.params.mu;
   }
 
+  // A link whose geometry is non-finite (a hostile-sample detection) has
+  // no sample index: the presence ledger skips it, the schedule sees it as
+  // unplaceable, and its image windows are empty.
   void add_presence(std::size_t c, std::size_t p, std::size_t k, double power,
                     double sign) {
-    const auto pos = static_cast<std::ptrdiff_t>(std::lround(pres_pos(p, c, static_cast<double>(k))));
+    const double x = pres_pos(p, c, static_cast<double>(k));
+    if (!std::isfinite(x)) return;
+    const auto pos = static_cast<std::ptrdiff_t>(std::lround(x));
     auto& v = pres_[c][p];
     const auto n = static_cast<std::ptrdiff_t>(v.size());
     for (std::ptrdiff_t d = -kFarSpan; d <= kFarSpan; ++d) {
@@ -427,7 +432,9 @@ class Engine {
 
   // ------------------------------------------------------------ scheduling
   double interference_at(std::size_t p, std::size_t c, std::size_t k) const {
-    const auto pos = static_cast<std::ptrdiff_t>(std::lround(pres_pos(p, c, static_cast<double>(k))));
+    const double x = pres_pos(p, c, static_cast<double>(k));
+    if (!std::isfinite(x)) return 1e30;
+    const auto pos = static_cast<std::ptrdiff_t>(std::lround(x));
     if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(residual_[c].size()))
       return 1e30;
     double acc = 0.0;
@@ -544,13 +551,14 @@ class Engine {
                       std::size_t k1) const {
     const auto pad = static_cast<double>(opt_.interp_half_width) * chan::kSps + 8.0;
     const auto n = static_cast<std::ptrdiff_t>(residual_[c].size());
+    const double x0 = sym_pos(p, c, static_cast<double>(k0));
+    const double x1 = sym_pos(p, c, static_cast<double>(k1));
     Window w;
+    if (!std::isfinite(x0) || !std::isfinite(x1)) return w;
     w.s0 = std::clamp<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(std::floor(sym_pos(p, c, static_cast<double>(k0)) - pad)),
-        0, n);
+        static_cast<std::ptrdiff_t>(std::floor(x0 - pad)), 0, n);
     w.s1 = std::clamp<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(std::ceil(sym_pos(p, c, static_cast<double>(k1)) + pad)),
-        w.s0, n);
+        static_cast<std::ptrdiff_t>(std::ceil(x1 + pad)), w.s0, n);
     return w;
   }
 
@@ -741,24 +749,6 @@ class Engine {
     }
     for (std::size_t k = k0; k < k1; ++k)
       add_presence(c, p, k, l.pres_power, -1.0);
-#ifdef ZZ_ZIGZAG_DEBUG
-    {
-      double ipow = 0.0, rpow = 0.0;
-      std::size_t cnt = 0;
-      for (std::size_t i = 0; i < img.size(); ++i) {
-        if (std::norm(img[i]) < 1e-12) continue;
-        ipow += std::norm(img[i]);
-        rpow += std::norm(residual_[c][static_cast<std::size_t>(w.s0) + i]);
-        ++cnt;
-      }
-      std::fprintf(stderr,
-                   "sub p=%zu c=%zu [%zu,%zu) img=%.1f resid=%.2f h=%.3f/%+.3f "
-                   "f=%+.6f mu=%+.3f\n",
-                   p, c, k0, k1, ipow / cnt, rpow / cnt,
-                   std::abs(l.est.params.h), std::arg(l.est.params.h),
-                   l.est.params.freq_offset, l.est.params.mu);
-    }
-#endif
   }
 
   void subtract_everywhere(std::size_t p, std::size_t k0, std::size_t k1) {
@@ -868,7 +858,10 @@ class Engine {
     return entry.res;
   }
 
-  void decode_chunk(std::size_t p, std::size_t c, std::size_t k0,
+  /// Decode symbols [k0, k1) of packet p from collision c. Returns whether
+  /// they became known — false when the chunk's window cannot be placed
+  /// in the buffer, which is no progress for the schedule.
+  bool decode_chunk(std::size_t p, std::size_t c, std::size_t k0,
                     std::size_t k1, bool backward, int bank) {
     PacketCtx& pk = pkts_[p];
     Link& l = links_[p][c];
@@ -877,13 +870,17 @@ class Engine {
     // decided/known/soft arrays out of range.
     ZZ_DCHECK_LE(k1, pk.len);
 
-    // Window of interest plus margins for the equalizer and pulse tails.
+    // Window of interest plus margins for the equalizer and pulse tails; a
+    // non-finite link has none.
+    const double s0 = sym_pos(p, c, static_cast<double>(k0));
+    const double s1 = sym_pos(p, c, static_cast<double>(k1));
+    if (!std::isfinite(s0) || !std::isfinite(s1)) return false;
     const auto w0 = std::max<std::ptrdiff_t>(
-        0, static_cast<std::ptrdiff_t>(std::floor(sym_pos(p, c, static_cast<double>(k0)))) - 48);
+        0, static_cast<std::ptrdiff_t>(std::floor(s0)) - 48);
     const auto w1 = std::min<std::ptrdiff_t>(
         static_cast<std::ptrdiff_t>(residual_[c].size()),
-        static_cast<std::ptrdiff_t>(std::ceil(sym_pos(p, c, static_cast<double>(k1)))) + 48);
-    if (w1 <= w0) return;
+        static_cast<std::ptrdiff_t>(std::ceil(s1)) + 48);
+    if (w1 <= w0) return false;
 
     // Reconstruct this packet's own signal view: residual plus everything of
     // p we previously subtracted from this collision (exact add-back).
@@ -928,6 +925,7 @@ class Engine {
         if (q != p && links_[q][c].present)
           retro_refine(q, c, static_cast<std::size_t>(w0),
                        static_cast<std::size_t>(w1));
+    return true;
   }
 
   // Measure the reconstruction error of packet q's already-subtracted image
@@ -959,23 +957,8 @@ class Engine {
       for (std::size_t r = 0; r < P_; ++r) others += pres_[c][r][n];
       foreign_acc += e * others;
     }
-    if (den < 32.0 * own) {
-#ifdef ZZ_ZIGZAG_DEBUG
-      std::fprintf(stderr, "  retro q=%zu c=%zu skip den=%.1f\n", q, c, den);
-#endif
-      return;  // too little image energy to trust
-    }
-    if (foreign_acc / den > 0.3 * own) {
-#ifdef ZZ_ZIGZAG_DEBUG
-      std::fprintf(stderr, "  retro q=%zu c=%zu skip foreign=%.2f own=%.2f\n",
-                   q, c, foreign_acc / den, own);
-#endif
-      return;
-    }
-#ifdef ZZ_ZIGZAG_DEBUG
-    std::fprintf(stderr, "  retro q=%zu c=%zu eps=%.3f/%+.3f den=%.0f\n", q, c,
-                 std::abs(num / den), std::arg(num / den), den);
-#endif
+    if (den < 32.0 * own) return;  // too little image energy to trust
+    if (foreign_acc / den > 0.3 * own) return;
     cplx eps = num / den;
     if (std::abs(eps) > 0.5) eps *= 0.5 / std::abs(eps);
 
@@ -1047,10 +1030,6 @@ class Engine {
             residual_[c][static_cast<std::size_t>(n)] -= delta;
             imgs_[q][c][static_cast<std::size_t>(n)] += delta;
           }
-#ifdef ZZ_ZIGZAG_DEBUG
-          std::fprintf(stderr, "  retro-mu q=%zu c=%zu dmu=%+.3f mu=%+.3f\n",
-                       q, c, dmu, l.est.params.mu);
-#endif
         }
       }
     }
@@ -1179,8 +1158,7 @@ class Engine {
       }
     }
     if (!found) return false;
-    decode_chunk(bp, bc, bk0, bk1, backward, bank);
-    return true;
+    return decode_chunk(bp, bc, bk0, bk1, backward, bank);
   }
 
   // One full decode pass (forward or backward bootstrap).
@@ -1196,10 +1174,8 @@ class Engine {
           for (const auto& pl : inputs_[c].placements) {
             auto [k0, k1] = find_run(pl.packet, c, backward);
             k1 = clamp_to_header(pl.packet, k0, k1);
-            if (k1 > k0) {
-              decode_chunk(pl.packet, c, k0, k1, backward, bank);
+            if (k1 > k0 && decode_chunk(pl.packet, c, k0, k1, backward, bank))
               progress = true;
-            }
           }
         }
       }

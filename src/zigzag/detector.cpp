@@ -8,6 +8,18 @@
 
 namespace zz::zigzag {
 
+namespace {
+
+// Non-finite samples (Inf, NaN, |x|² overflow) yield non-finite estimates;
+// such a start has no sample position the decoder could place.
+bool is_finite(const Detection& d) {
+  return std::isfinite(d.h.real()) && std::isfinite(d.h.imag()) &&
+         std::isfinite(d.mu) && std::isfinite(d.freq_offset) &&
+         std::isfinite(d.metric);
+}
+
+}  // namespace
+
 CollisionDetector::CollisionDetector(DetectorConfig cfg) : cfg_(cfg) {}
 
 double CollisionDetector::threshold(double snr_linear,
@@ -164,7 +176,7 @@ std::vector<Detection> CollisionDetector::detect(
     d.freq_offset = coarse;
     d.metric = best_cons;
     d.profile_index = best;
-    out.push_back(d);
+    if (is_finite(d)) out.push_back(d);
   }
 
   if (out.size() > cfg_.max_detections) {

@@ -114,6 +114,10 @@ class ZigZagReceiver {
   /// this reception just unlocked.
   std::vector<Delivered> receive(const CVec& rx);
 
+  /// Packet starts the §4.2.1 detector reported on the last receive()'s
+  /// reception (before any capture or joint decode).
+  std::size_t last_detections() const { return last_detections_; }
+
   std::size_t pending_collisions() const { return pending_.size(); }
   void clear_pending() { pending_.clear(); }
 
@@ -155,6 +159,7 @@ class ZigZagReceiver {
   std::vector<phy::SenderProfile> clients_;
   std::deque<PendingCollision> pending_;
   std::set<std::pair<std::uint8_t, std::uint16_t>> delivered_keys_;
+  std::size_t last_detections_ = 0;
 };
 
 }  // namespace zz::zigzag

@@ -289,6 +289,7 @@ std::vector<Delivered> ZigZagReceiver::receive(const CVec& rx) {
   if (!opt_.shared_cache) joint_cache_.clear();
   const CollisionDetector detector(opt_.detector);
   const auto dets = detector.detect(rx, clients_);
+  last_detections_ = dets.size();
   if (dets.empty()) return {};
 
   // Standard decode / capture / single-collision cancellation first.

@@ -1,11 +1,11 @@
 // Tests for the streaming receiver pipeline (sample-in → packet-out):
-// ring-buffer ingest, the incremental SlidingCorrelator stream, the
-// WAIT_PREAMBLE → WAIT_PAYLOAD → JOINT_PENDING frame tracker, and the
-// gated streaming contract — bit-identical packets vs the offline route
-// under ANY chunking of the input, with bounded per-push work.
+// ring-buffer ingest, silence-gap framing, the gated streaming contract —
+// bit-identical packets vs the offline route under ANY chunking of the
+// input, with bounded per-push work — and termination on hostile samples.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "zz/chan/channel.h"
@@ -15,8 +15,8 @@
 #include "zz/phy/preamble.h"
 #include "zz/phy/receiver.h"
 #include "zz/phy/transmitter.h"
-#include "zz/signal/correlate.h"
 #include "zz/signal/ring.h"
+#include "zz/zigzag/decoder.h"
 #include "zz/testbed/scenario.h"
 #include "zz/zigzag/receiver.h"
 #include "zz/zigzag/streaming.h"
@@ -87,94 +87,7 @@ TEST(SampleRing, DropClampsAndResetForgets) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming SlidingCorrelator: extend() must be bit-identical to a batch
-// prepare() of the same stream, at every hypothesis, under any chunking.
-// ---------------------------------------------------------------------------
-
-CVec noise_stream(Rng& rng, std::size_t n) {
-  CVec v(n);
-  for (auto& x : v) x = rng.gaussian_c(1.0);
-  return v;
-}
-
-TEST(StreamingCorrelator, ExtendMatchesPrepareBitForBit) {
-  Rng rng(42);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 1777);
-  const double freqs[] = {0.0, 7.3e-4, -1.9e-3};
-
-  sig::SlidingCorrelator batch(ref);
-  batch.prepare(stream);
-
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng part(seed);
-    sig::SlidingCorrelator inc(ref);
-    inc.begin_stream();
-    std::size_t fed = 0;
-    while (fed < stream.size()) {
-      const auto chunk = static_cast<std::size_t>(part.uniform_int(
-          1, static_cast<std::int64_t>(std::min<std::size_t>(
-                 400, stream.size() - fed))));
-      inc.extend(stream.data() + fed, chunk);
-      fed += chunk;
-    }
-    ASSERT_EQ(inc.stream_length(), stream.size());
-    ASSERT_EQ(inc.stream_positions(), batch.positions());
-    for (const double f : freqs) {
-      CVec want, got;
-      batch.correlate(f, want);
-      inc.correlate_range(f, 0, inc.stream_positions(), got);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(got[i], want[i]) << "freq " << f << " alignment " << i
-                                   << " partition seed " << seed;
-    }
-  }
-}
-
-TEST(StreamingCorrelator, FinalizedAlignmentsStableUnderLaterAppends) {
-  Rng rng(7);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 1200);
-
-  sig::SlidingCorrelator inc(ref);
-  inc.begin_stream();
-  inc.extend(stream.data(), 700);
-  const std::size_t stable = inc.final_positions();
-  ASSERT_GT(stable, 0u);
-  CVec before;
-  inc.correlate_range(4.2e-4, 0, stable, before);
-
-  inc.extend(stream.data() + 700, stream.size() - 700);
-  CVec after;
-  inc.correlate_range(4.2e-4, 0, stable, after);
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i)
-    ASSERT_EQ(before[i], after[i]) << "alignment " << i;
-}
-
-TEST(StreamingCorrelator, RangeQueriesMatchFullQuery) {
-  Rng rng(9);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 900);
-  sig::SlidingCorrelator inc(ref);
-  inc.begin_stream();
-  inc.extend(stream);
-  CVec full;
-  inc.correlate_range(0.0, 0, inc.stream_positions(), full);
-  // Piecewise queries over awkward sub-ranges see the same values.
-  for (std::size_t from = 0; from < full.size(); from += 131) {
-    const std::size_t to = std::min(full.size(), from + 131);
-    CVec piece;
-    inc.correlate_range(0.0, from, to, piece);
-    for (std::size_t i = 0; i < piece.size(); ++i)
-      ASSERT_EQ(piece[i], full[from + i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FrameSync: exact window recovery under any chunking, and the state
-// machine of the tracker.
+// FrameSync: exact window recovery under any chunking.
 // ---------------------------------------------------------------------------
 
 TEST(FrameSync, RecoversWindowsExactlyUnderAnyChunking) {
@@ -228,24 +141,24 @@ TEST(FrameSync, TrackerStatesAdvanceAndResetPerWindow) {
   const CVec on(10, cplx{1.0, 0.0});
   const CVec off(30, cplx{0.0, 0.0});
 
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);
+  EXPECT_FALSE(sync.in_window());
   sync.push(on.data(), on.size(), wins);
   ASSERT_TRUE(sync.in_window());
-  sync.note_preamble(2);
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPayload);
-  sync.note_preamble(8);  // a second overlapped start: it's a collision
-  EXPECT_EQ(sync.state(), phy::SyncState::JointPending);
-  sync.note_preamble(9);  // further hints don't regress the state
-  EXPECT_EQ(sync.state(), phy::SyncState::JointPending);
+  EXPECT_TRUE(wins.empty());
 
   sync.push(off.data(), off.size(), wins);
   ASSERT_EQ(wins.size(), 1u);
-  EXPECT_EQ(wins[0].final_state, phy::SyncState::JointPending);
+  EXPECT_EQ(wins[0].begin, 0u);
+  EXPECT_EQ(wins[0].end, 10u);
   EXPECT_FALSE(sync.in_window());
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);  // fresh tracker
 
-  sync.note_preamble(33);  // hint with no open window: ignored
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);
+  // The next burst opens a fresh window at its own position.
+  sync.push(on.data(), on.size(), wins);
+  ASSERT_TRUE(sync.in_window());
+  sync.finish(wins);
+  ASSERT_EQ(wins.size(), 2u);
+  EXPECT_EQ(wins[1].begin, 40u);
+  EXPECT_EQ(wins[1].end, 50u);
 }
 
 TEST(FrameSync, MaxWindowCutsARunawayStream) {
@@ -463,7 +376,7 @@ TEST(StreamingReceiver, WindowsStraddlingPushBoundariesMatchContiguous) {
   }
 }
 
-TEST(StreamingReceiver, TrackerReachesJointPendingOnACollision) {
+TEST(StreamingReceiver, DetectorCountsStartsInEveryCollisionWindow) {
   Rng rng(5);
   const StreamScenario sc = make_stream_scenario(rng, 2, {{0, 150}, {0, 420}});
   zigzag::StreamingOptions sopt;
@@ -474,8 +387,8 @@ TEST(StreamingReceiver, TrackerReachesJointPendingOnACollision) {
   Rng part(123);
   for (const auto& rec : sc.receptions)
     stream_reception(rx, rec.samples, part, got);
-  // Both receptions carry two overlapped packets; the online hints must
-  // have walked the tracker to JOINT_PENDING in each window.
+  // Both receptions carry two overlapped packets; the window decode's
+  // §4.2.1 detection must have found both starts in each window.
   EXPECT_EQ(rx.stats().joint_windows, sc.receptions.size());
   EXPECT_GE(rx.stats().preamble_hints, 2 * sc.receptions.size());
 }
@@ -510,6 +423,106 @@ TEST(StreamingReceiver, PerPushWorkIsConstantInStreamLength) {
   // Retention is bounded by the window, not the stream.
   EXPECT_LE(long_run.max_retained, rec.size() + 2 * gap.size());
   EXPECT_EQ(long_run.windows, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile samples: non-finite and overflow-scale input must end in an
+// ordinary result — never a hang, an abort, UB, or a CRC-valid packet the
+// senders did not send.
+// ---------------------------------------------------------------------------
+
+/// A crc_ok packet must be one of the scenario's transmitted frames.
+void expect_truthful(const StreamScenario& sc, const zigzag::Delivered& d) {
+  if (!d.crc_ok) return;
+  bool sent = false;
+  for (const auto& party : sc.parties)
+    sent = sent || (party.frame.header.sender_id == d.header.sender_id &&
+                    party.frame.header.seq == d.header.seq &&
+                    party.frame.payload == d.payload);
+  EXPECT_TRUE(sent) << "crc_ok packet from sender "
+                    << int{d.header.sender_id} << " seq " << d.header.seq;
+}
+
+TEST(StreamingReceiver, HostileSamplesTerminateTyped) {
+  Rng rng(5);
+  const StreamScenario sc = make_stream_scenario(rng, 2, {{0, 150}, {0, 420}});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const CVec gap(64, cplx{0.0, 0.0});
+
+  // Each case: its pushes, then finish(); every crc_ok output is checked
+  // against the truth. Returning at all is the main assertion.
+  auto run = [&](const char* name, const std::vector<CVec>& pushes,
+                 phy::FramerConfig framer = {}) {
+    SCOPED_TRACE(name);
+    zigzag::StreamingOptions sopt;
+    sopt.receiver = receiver_options(2);
+    sopt.framer = framer;
+    zigzag::StreamingReceiver rx(sopt);
+    rx.add_clients(sc.profiles);
+    std::vector<zigzag::StreamDelivered> got;
+    for (const auto& p : pushes)
+      for (auto& d : rx.push(p)) got.push_back(std::move(d));
+    for (auto& d : rx.finish()) got.push_back(std::move(d));
+    for (const auto& d : got) expect_truthful(sc, d.packet);
+    return rx.stats();
+  };
+
+  // A real collision with `value` written over both packets' preambles.
+  auto over_preambles = [&](const CVec& rec, cplx value) {
+    CVec v = rec;
+    const auto span = static_cast<std::size_t>(
+        chan::kSps * static_cast<double>(phy::kPreambleLength));
+    for (const std::size_t start : {std::size_t{64}, std::size_t{64 + 150}})
+      for (std::size_t i = start; i < start + span && i < v.size(); ++i)
+        v[i] = value;
+    return v;
+  };
+
+  run("all-Inf", {CVec(3000, cplx{kInf, kInf}), gap});
+  run("Inf over preambles",
+      {over_preambles(sc.receptions[0].samples, cplx{kInf, 0.0}), gap,
+       sc.receptions[1].samples, gap});
+  CVec huge(3000);
+  for (auto& x : huge) x = 1e300 * rng.gaussian_c(1.0);
+  run("1e300 magnitude", {huge, gap});
+  run("NaN over preambles",
+      {over_preambles(sc.receptions[0].samples, cplx{kNaN, kNaN}), gap,
+       over_preambles(sc.receptions[1].samples, cplx{kNaN, kNaN}), gap});
+  const auto empty = run("zero-length push", {CVec{}});
+  EXPECT_EQ(empty.samples_in, 0u);
+  EXPECT_EQ(empty.windows, 0u);
+  phy::FramerConfig tight;
+  tight.max_window = 1000;
+  CVec runaway(4000);
+  for (auto& x : runaway) x = rng.gaussian_c(1.0);
+  const auto cut = run("max_window runaway", {runaway}, tight);
+  EXPECT_EQ(cut.windows, 4u);
+
+  // The offline receiver on a whole non-finite reception.
+  zigzag::ZigZagReceiver offline(zigzag::ReceiverOptions::for_clients(2));
+  offline.add_clients(sc.profiles);
+  for (const auto& d : offline.receive(CVec(600, cplx{kInf, kInf})))
+    expect_truthful(sc, d);
+
+  // The decoder handed a non-finite placement directly: no chunk of it
+  // can be placed, so no symbol ever becomes known. Over a non-finite
+  // buffer the schedule still believes the packet decodable — the pass
+  // must end anyway rather than retry the same chunk forever.
+  zigzag::Detection bad;
+  bad.origin = 64;
+  bad.mu = kNaN;
+  bad.h = cplx{1.0, 0.0};
+  bad.profile_index = 0;
+  const CVec inf_rx(600, cplx{kInf, kInf});
+  const zigzag::ZigZagDecoder dec;
+  for (const CVec* samples : {&sc.receptions[0].samples, &inf_rx}) {
+    zigzag::CollisionInput in;
+    in.samples = samples;
+    in.placements.push_back({0, bad});
+    for (const auto& p : dec.decode({&in, 1}, sc.profiles, 1).packets)
+      EXPECT_FALSE(p.crc_ok);
+  }
 }
 
 // ---------------------------------------------------------------------------
